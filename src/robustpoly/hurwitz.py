@@ -4,6 +4,8 @@ Three routes are combined: a coefficient-positivity fast reject, the Routh
 array, and an explicit root computation.  The array handles the generic
 case; singular arrays (zero pivot or zero row) are not patched with the
 usual epsilon trick but reported as DEGENERATE and settled by the roots.
+:func:`is_hurwitz_rows` takes the same decision for a whole block of
+polynomials at once, as numpy array operations.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .poly_core import RealPolynomial, ZeroPolynomial
+import numpy as np
+
+from .poly_core import ZERO_REL_TOL, RealPolynomial, ZeroPolynomial
 from .roots import all_roots
 
 __all__ = [
@@ -22,9 +26,13 @@ __all__ = [
     "stodola_precheck",
     "routh_hurwitz",
     "is_hurwitz",
+    "is_hurwitz_rows",
 ]
 
 AXIS_TOL = 1e-9
+# A Routh pivot (or a whole row) is zero when its magnitude is at most
+# ``PIVOT_REL_TOL`` times the largest entry of the array so far.
+PIVOT_REL_TOL = 1e-12
 
 
 class Status(enum.Enum):
@@ -87,9 +95,9 @@ def _routh_rows(p: RealPolynomial) -> tuple[list[list[float]], int | None]:
     scale = max(abs(c) for c in desc)
     for r in range(2, deg + 1):
         prev, prev2 = rows[r - 1], rows[r - 2]
-        if all(abs(v) <= 1e-12 * scale for v in prev):
+        if all(abs(v) <= PIVOT_REL_TOL * scale for v in prev):
             return rows, r - 1  # premature zero row
-        if abs(prev[0]) <= 1e-12 * scale:
+        if abs(prev[0]) <= PIVOT_REL_TOL * scale:
             return rows, r - 1  # zero pivot with live row
         new = [
             (prev[0] * prev2[i + 1] - prev2[0] * prev[i + 1]) / prev[0]
@@ -98,9 +106,72 @@ def _routh_rows(p: RealPolynomial) -> tuple[list[list[float]], int | None]:
         rows.append(new)
         scale = max(scale, max(abs(v) for v in new))
     last = rows[deg]
-    if abs(last[0]) <= 1e-12 * scale:
+    if abs(last[0]) <= PIVOT_REL_TOL * scale:
         return rows, deg
     return rows, None
+
+
+def _routh_block(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stodola and Routh for rows of equal effective degree ``c.shape[1] - 1``.
+
+    Returns ``(stable, singular)``.  The array is built with the operations
+    of :func:`_routh_rows` in the same order, so every entry is bit-identical
+    to the scalar one.  The zero-pivot test also covers the zero-row test,
+    whose row includes the pivot.  A row is ``singular`` when a pivot
+    vanishes or when its array leaves the finite range (then the running
+    scale is inf or nan); its ``stable`` entry is meaningless.
+    """
+    m, deg = c.shape[0], c.shape[1] - 1
+    if deg == 0:
+        return np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
+    q = np.where(c[:, deg:] > 0.0, c, -c)
+    stable = (q > 0.0).all(axis=1)  # Stodola; failing rows are UNSTABLE
+    singular = np.zeros(m, dtype=bool)
+    live = np.flatnonzero(stable)
+    desc = q[live, ::-1]
+    prev2 = desc[:, 0::2]
+    prev = np.zeros_like(prev2)
+    prev[:, : (deg + 1) // 2] = desc[:, 1::2]
+    scale = desc.max(axis=1)
+    zero = prev[:, 0] <= PIVOT_REL_TOL * scale
+    negative = np.zeros(len(live), dtype=bool)
+    with np.errstate(all="ignore"):  # singular rows run on with junk
+        for _ in range(2, deg + 1):
+            p0 = prev[:, :1]
+            new = np.zeros_like(prev)
+            new[:, :-1] = (p0 * prev2[:, 1:] - prev2[:, :1] * prev[:, 1:]) / p0
+            scale = np.maximum(scale, np.abs(new).max(axis=1))
+            zero |= np.abs(new[:, 0]) <= PIVOT_REL_TOL * scale
+            negative |= new[:, 0] < 0.0
+            prev2, prev = prev, new
+    stable[live] = ~negative
+    singular[live] = zero | ~np.isfinite(scale)
+    return stable, singular
+
+
+def is_hurwitz_rows(block: np.ndarray, axis_tol: float = AXIS_TOL) -> np.ndarray:
+    """Stability of every row of a ``(k, n+1)`` block of ascending coefficients.
+
+    Entry ``i`` equals ``is_hurwitz(RealPolynomial(block[i]), axis_tol,
+    root_witness=False).is_stable``; zero rows come back ``False``.  Rows
+    are grouped by effective degree, and the sign normalization, Stodola
+    and the Routh array run on each group at once.  Rows whose array is
+    singular are handed to :func:`is_hurwitz`, which settles them by roots.
+    """
+    block = np.asarray(block, dtype=float)
+    mag = np.abs(block)
+    live = mag > ZERO_REL_TOL * mag.max(axis=1, keepdims=True)
+    nonzero = live.any(axis=1)
+    deg = block.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
+    stable = np.zeros(len(block), dtype=bool)
+    singular = np.zeros(len(block), dtype=bool)
+    for d in np.unique(deg[nonzero]):
+        rows = np.flatnonzero(nonzero & (deg == d))
+        stable[rows], singular[rows] = _routh_block(block[rows, : d + 1])
+    for i in np.flatnonzero(singular):
+        p = RealPolynomial(tuple(block[i].tolist()))
+        stable[i] = is_hurwitz(p, axis_tol, root_witness=False).is_stable
+    return stable
 
 
 def routh_hurwitz(p: RealPolynomial) -> StabilityVerdict:

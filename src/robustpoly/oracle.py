@@ -1,22 +1,23 @@
 """Brute-force evidence against which the corner test is cross-checked.
 
 Members of a coefficient box are enumerated (vertices, grids) or sampled
-(seeded uniform draws) and classified one by one.  A single unstable
-member refutes robust stability outright; exhausting a sample without
-finding one is merely evidence for it.  The corner test and the oracle
-must never land on opposite sides: an unstable member under a STABLE
-family verdict is a contradiction, and the reverse direction is settled
-by certifying the failing corner polynomial, which is itself a member.
+(seeded uniform draws) and classified in blocks, one numpy array of
+members at a time.  A single unstable member refutes robust stability
+outright; exhausting a sample without finding one is merely evidence for
+it.  The corner test and the oracle must never land on opposite sides: an
+unstable member under a STABLE family verdict is a contradiction, and the
+reverse direction is settled by certifying the failing corner polynomial,
+which is itself a member.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hurwitz import AXIS_TOL, is_hurwitz
+from .hurwitz import AXIS_TOL, is_hurwitz, is_hurwitz_rows
 from .kharitonov import FamilyVerdict, IntervalPolynomial, kharitonov_test
 from .poly_core import RealPolynomial
 from .roots import all_roots
@@ -33,7 +34,9 @@ __all__ = [
 ]
 
 VERTEX_LIMIT = 20
+GRID_LIMIT = 2_000_000
 MAX_STORED_WITNESSES = 16
+BLOCK_ROWS = 4096  # members per array handed to the classifier
 
 
 class VertexBlowup(ValueError):
@@ -66,47 +69,73 @@ class SamplePlan:
         return cls("random", count=count, seed=seed)
 
 
-def enumerate_members(box: IntervalPolynomial, plan: SamplePlan):
-    """Yield member polynomials of the box in a deterministic order.
+def _finite(block: np.ndarray) -> np.ndarray:
+    bad = ~np.isfinite(block).all(axis=0)
+    if bad.any():
+        raise ValueError(f"interval {int(np.argmax(bad))} yields non-finite members")
+    return block
 
-    Vertex mode yields every corner once (duplicates from point intervals
-    are collapsed) and refuses boxes with more than 20 axes.  Grid mode
-    places ``points_per_axis`` equispaced values on each axis.  Random mode
-    draws ``count`` members uniformly, reproducibly from ``seed``.
+
+def _member_blocks(box: IntervalPolynomial, plan: SamplePlan):
+    """Yield the plan's members as ``(k, n+1)`` arrays, ``k <= BLOCK_ROWS``.
+
+    Rows come in the order :func:`enumerate_members` documents.  Vertex and
+    grid mode first collapse each axis to its distinct values in order of
+    first occurrence; the product of the collapsed axes (last axis fastest)
+    holds every distinct member once, in the order of its first occurrence
+    in the full product.  A box whose width or members are not finite is
+    refused with a ``ValueError`` naming the axis.
     """
     n = box.order
+    for i, (lo, hi) in enumerate(zip(box.lo, box.hi)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"interval {i} is too wide to sample: [{lo}, {hi}]")
+    if plan.mode == "random":
+        rng = np.random.default_rng(plan.seed)
+        lo = np.asarray(box.lo)
+        hi = np.asarray(box.hi)
+        for start in range(0, plan.count, BLOCK_ROWS):
+            rows = min(BLOCK_ROWS, plan.count - start)
+            yield _finite(rng.uniform(lo, hi, size=(rows, n + 1)))
+        return
     if plan.mode == "vertices":
         if n > VERTEX_LIMIT:
             raise VertexBlowup(
                 f"2**{n + 1} vertices for order {n}; refusing beyond order {VERTEX_LIMIT}"
             )
-        seen = set()
-        for picks in itertools.product(*[(lo, hi) for lo, hi in zip(box.lo, box.hi)]):
-            if picks not in seen:
-                seen.add(picks)
-                yield RealPolynomial(picks)
+        axes = list(zip(box.lo, box.hi))
     elif plan.mode == "grid":
         k = plan.points_per_axis
         total = k ** (n + 1)
-        if total > 2_000_000:
+        if total > GRID_LIMIT:
             raise ValueError(f"grid would hold {total} members; use random sampling")
-        axes = [
-            tuple(np.linspace(lo, hi, k)) for lo, hi in zip(box.lo, box.hi)
-        ]
-        seen = set()
-        for picks in itertools.product(*axes):
-            if picks not in seen:
-                seen.add(picks)
-                yield RealPolynomial(picks)
-    elif plan.mode == "random":
-        rng = np.random.default_rng(plan.seed)
-        lo = np.asarray(box.lo)
-        hi = np.asarray(box.hi)
-        for _ in range(plan.count):
-            draw = rng.uniform(lo, hi)
-            yield RealPolynomial(tuple(draw))
+        axes = [np.linspace(lo, hi, k).tolist() for lo, hi in zip(box.lo, box.hi)]
     else:
         raise ValueError(f"unknown sample mode {plan.mode!r}")
+    axes = [np.array(list(dict.fromkeys(a))) for a in axes]
+    sizes = [len(a) for a in axes]
+    total = math.prod(sizes)
+    for start in range(0, total, BLOCK_ROWS):
+        index = np.arange(start, min(start + BLOCK_ROWS, total))
+        block = np.empty((len(index), n + 1))
+        for j in range(n, -1, -1):
+            index, digit = np.divmod(index, sizes[j])
+            block[:, j] = axes[j][digit]
+        yield _finite(block)
+
+
+def enumerate_members(box: IntervalPolynomial, plan: SamplePlan):
+    """Yield member polynomials of the box in a deterministic order.
+
+    Vertex mode yields every corner once (duplicates from point intervals
+    are collapsed) and refuses boxes with more than 20 axes.  Grid mode
+    places ``points_per_axis`` equispaced values on each axis, each
+    distinct member once.  Random mode draws ``count`` members uniformly,
+    reproducibly from ``seed``.
+    """
+    for block in _member_blocks(box, plan):
+        for row in block.tolist():
+            yield RealPolynomial(tuple(row))
 
 
 @dataclass(frozen=True)
@@ -129,22 +158,26 @@ class OracleReport:
 def oracle_verdict(
     box: IntervalPolynomial, plan: SamplePlan, axis_tol: float = AXIS_TOL
 ) -> OracleReport:
-    """Classify every member the plan produces."""
+    """Classify every member the plan produces.
+
+    Members are made and classified in blocks of at most ``BLOCK_ROWS``
+    rows by :func:`~robustpoly.hurwitz.is_hurwitz_rows`, whose verdict on
+    each row is that of ``is_hurwitz(member, root_witness=False)``: rows
+    with a singular Routh array fall back to the scalar :func:`is_hurwitz`,
+    which settles them by roots.  Witness roots are solved only for the
+    first ``MAX_STORED_WITNESSES`` unstable members.
+    """
     tested = 0
     bad = 0
     witnesses: list[tuple[tuple[float, ...], complex | None]] = []
-    for p in enumerate_members(box, plan):
-        tested += 1
-        if p.is_zero():
-            bad += 1
-            if len(witnesses) < MAX_STORED_WITNESSES:
-                witnesses.append((p.coeffs, None))
-            continue
-        v = is_hurwitz(p, axis_tol, root_witness=False)
-        if not v.is_stable:
-            bad += 1
-            if len(witnesses) < MAX_STORED_WITNESSES:
-                witnesses.append((p.coeffs, all_roots(p).rightmost()))
+    for block in _member_blocks(box, plan):
+        tested += len(block)
+        unstable = np.flatnonzero(~is_hurwitz_rows(block, axis_tol))
+        bad += len(unstable)
+        for i in unstable[: MAX_STORED_WITNESSES - len(witnesses)]:
+            p = RealPolynomial(tuple(block[i].tolist()))
+            root = None if p.is_zero() else all_roots(p).rightmost()
+            witnesses.append((p.coeffs, root))
     return OracleReport(
         verdict="UNSTABLE" if bad else "STABLE_EVIDENCE",
         tested=tested,

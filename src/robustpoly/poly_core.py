@@ -23,6 +23,10 @@ __all__ = [
     "format_poly",
 ]
 
+# Relative threshold of the effective degree: a coefficient counts as zero
+# when its magnitude is at most ``ZERO_REL_TOL * max(abs(coeffs))``.
+ZERO_REL_TOL = 1e-12
+
 
 class ZeroPolynomial(ValueError):
     """Raised when an operation is undefined for the identically-zero polynomial."""
@@ -60,7 +64,7 @@ class RealPolynomial:
     def effective_zero_tol(self) -> float:
         if self.zero_tol is not None:
             return self.zero_tol
-        return 1e-12 * max(abs(c) for c in self.coeffs)
+        return ZERO_REL_TOL * max(abs(c) for c in self.coeffs)
 
     def degree(self) -> int | None:
         """Effective degree, or ``None`` for the zero polynomial."""

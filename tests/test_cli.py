@@ -203,6 +203,14 @@ class TestOracle:
         assert blob["tested"] == 32
         assert blob["unstable_members"] == 0
 
+    @pytest.mark.parametrize("mode", ["vertices", "grid", "random"])
+    def test_overflowing_width_exit_two(self, tmp_path, capsys, mode):
+        # hi - lo of the middle axis overflows to inf
+        prob = write_problem(tmp_path, "w.json", 2, [[1, 2], [-1e308, 1e308], [1, 2]])
+        assert main(["oracle", str(prob), "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert "error: interval 1 is too wide" in err
+
     def test_contradiction_exit_three(self, demo_problem_path, capsys, monkeypatch):
         fake = CrossValidation(
             classification="CONTRADICTION",
