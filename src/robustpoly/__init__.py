@@ -51,6 +51,7 @@ from .oracle import (
     enumerate_members,
     oracle_verdict,
     random_box,
+    witness_root,
 )
 from .poly_core import (
     RealPolynomial,
@@ -121,6 +122,7 @@ __all__ = [
     "stodola_precheck",
     "sweep_stability",
     "wronskian",
+    "witness_root",
     "wronskian_identity_check",
     "zero_exclusion_sweep",
 ]

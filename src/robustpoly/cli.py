@@ -23,14 +23,15 @@ from pathlib import Path
 
 from . import __version__, svgplot
 from .homotopy import NAMED_FAMILIES, CrossingKind, PolynomialPath, find_crossing
-from .hurwitz import is_hurwitz
+# not called here; kept so that bench/spans.py can still wrap cli.is_hurwitz
+from .hurwitz import is_hurwitz  # noqa: F401
 from .kharitonov import (
     IntervalPolynomial,
     kharitonov_polys,
     kharitonov_test,
     rectangle_sweep,
 )
-from .oracle import SamplePlan, cross_validate
+from .oracle import SamplePlan, cross_validate, witness_root
 from .poly_core import RealPolynomial, format_poly
 from .roots import all_roots
 
@@ -99,8 +100,12 @@ def load_problem(path: str) -> tuple[IntervalPolynomial, dict]:
     opts = {}
     if "omega_max" in data:
         v = data["omega_max"]
-        if not isinstance(v, (int, float)) or isinstance(v, bool) or v <= 0:
-            raise ProblemError(f"{where}: 'omega_max' must be a positive number")
+        if (
+            not isinstance(v, (int, float))
+            or isinstance(v, bool)
+            or not 0 < v <= sys.float_info.max
+        ):
+            raise ProblemError(f"{where}: 'omega_max' must be a positive finite number")
         opts["omega_max"] = float(v)
     if "steps" in data:
         v = data["steps"]
@@ -139,16 +144,6 @@ def _fmt_root(r: complex) -> str:
     return f"{r.real:.2f}{r.imag:+.2f}i"
 
 
-def _roots_or_empty(p: RealPolynomial) -> list[complex]:
-    if p.is_zero():
-        return []
-    rs = all_roots(p)
-    out = []
-    for r, m in zip(rs.roots, rs.multiplicities):
-        out.extend([r] * m)
-    return out
-
-
 def _say(args, *lines):
     if not args.quiet:
         for ln in lines:
@@ -158,27 +153,18 @@ def _say(args, *lines):
 def cmd_check(args) -> int:
     box, _ = load_problem(args.problem)
     verdict = kharitonov_test(box)
-    quad = kharitonov_polys(box if box.hi[-1] > 0 else -box)
-    entries = []
-    for name, k in zip(K_NAMES, quad.polys):
-        roots = _roots_or_empty(k)
-        stable = not k.is_zero() and is_hurwitz(k, root_witness=False).is_stable
-        entries.append(
-            {
-                "name": name,
-                "coeffs": _trimmed(k),
-                "roots": [[r.real, r.imag] for r in roots],
-                "stable": stable,
-            }
-        )
-    _say(args, f"robust stability check: {args.problem}")
+    polys = verdict.quad.polys
+    roots = None
+    if args.json:  # the roots go only into the certificate
+        roots = [() if k.is_zero() else all_roots(k).expand() for k in polys]
     _say(
         args,
+        f"robust stability check: {args.problem}",
         f"family: order {box.order}, degree drop: {'yes' if box.degree_drop else 'no'}",
     )
-    for e in entries:
-        mark = "STABLE" if e["stable"] else "not stable"
-        _say(args, f"  {e['name']} = {format_poly(RealPolynomial(tuple(e['coeffs'])))}   [{mark}]")
+    for name, k, v in zip(K_NAMES, polys, verdict.corners):
+        mark = "STABLE" if v.is_stable else "not stable"
+        _say(args, f"  {name} = {format_poly(RealPolynomial(tuple(_trimmed(k))))}   [{mark}]")
     if verdict.witness_root is not None:
         _say(
             args,
@@ -200,7 +186,15 @@ def cmd_check(args) -> int:
             "verdict": verdict.status.value,
             "failing_k": verdict.failing_k,
             "note": verdict.note,
-            "kharitonov": entries,
+            "kharitonov": [
+                {
+                    "name": name,
+                    "coeffs": _trimmed(k),
+                    "roots": [[r.real, r.imag] for r in rs],
+                    "stable": v.is_stable,
+                }
+                for name, k, v, rs in zip(K_NAMES, polys, verdict.corners, roots)
+            ],
         }
         out = Path(args.problem).with_suffix(".cert.json")
         out.write_text(json.dumps(cert, indent=2) + "\n")
@@ -213,10 +207,8 @@ def cmd_kpolys(args) -> int:
     quad = kharitonov_polys(box)
     if args.json:
         blob = {name: _trimmed(k) for name, k in zip(K_NAMES, quad.polys)}
-        blob["h_minus"] = _trimmed(quad.h_minus)
-        blob["h_plus"] = _trimmed(quad.h_plus)
-        blob["g_minus"] = _trimmed(quad.g_minus)
-        blob["g_plus"] = _trimmed(quad.g_plus)
+        for name in ("h_minus", "h_plus", "g_minus", "g_plus"):
+            blob[name] = _trimmed(getattr(quad, name))
         print(json.dumps(blob, indent=2))
     else:
         for name, k in zip(K_NAMES, quad.polys):
@@ -226,8 +218,8 @@ def cmd_kpolys(args) -> int:
 
 def cmd_rect(args) -> int:
     box, opts = load_problem(args.problem)
-    omega_max = args.omega_max or opts.get("omega_max", 10.0)
-    steps = args.steps or opts.get("steps", 1000)
+    omega_max = args.omega_max if args.omega_max is not None else opts.get("omega_max", 10.0)
+    steps = args.steps if args.steps is not None else opts.get("steps", 1000)
     samples = rectangle_sweep(box, omega_max, steps)
     flagged = [s for s in samples if s.contains_zero]
     if args.csv:
@@ -269,10 +261,10 @@ def cmd_rect(args) -> int:
 def cmd_roots(args) -> int:
     box, _ = load_problem(args.problem)
     quad = kharitonov_polys(box)
-    named = []
-    for name, k in zip(K_NAMES, quad.polys):
-        rs = sorted(_roots_or_empty(k), key=lambda r: (r.real, r.imag))
-        named.append((name, rs))
+    named = [
+        (name, () if k.is_zero() else all_roots(k).expand())
+        for name, k in zip(K_NAMES, quad.polys)
+    ]
     if args.json:
         blob = {
             name: {
@@ -324,12 +316,10 @@ def cmd_oracle(args) -> int:
             f"oracle: {rep.verdict} after {rep.tested} members "
             f"({rep.unstable_count} unstable)",
         )
-        for coeffs, root in rep.witnesses[:3]:
-            tag = (
-                f"root {root.real:.6g}{root.imag:+.6g}i"
-                if root is not None
-                else "zero polynomial"
-            )
+        shown = () if args.quiet else rep.witnesses[:3]  # roots are solved for these only
+        for coeffs in shown:
+            root = witness_root(coeffs)
+            tag = "zero polynomial" if root is None else f"root {root.real:.6g}{root.imag:+.6g}i"
             _say(args, f"  unstable member {list(coeffs)} ({tag})")
         if res.note:
             _say(args, f"  {res.note}")

@@ -18,7 +18,8 @@ from typing import Callable
 
 from .hurwitz import StabilityVerdict, is_hurwitz
 from .kharitonov import KharitonovQuad
-from .poly_core import RealPolynomial, ZeroPolynomial, convex_combine, evaluate, wronskian
+from .poly_core import RealPolynomial, ZeroPolynomial, convex_combine, evaluate
+from .poly_core import linear_combination, wronskian
 from .roots import all_roots
 
 __all__ = [
@@ -84,7 +85,9 @@ class PolynomialPath:
         pts = sorted(breakpoints, key=lambda bp: bp[0])
         if len(pts) < 2:
             raise ValueError("need at least two breakpoints")
+        # every p_t has as many coefficients as the widest breakpoint
         width = max(len(c) for _, c in pts)
+        pts = [(t, c + (0.0,) * (width - len(c))) for t, c in pts]
 
         def fn(t: float) -> tuple[float, ...]:
             idx = len(pts) - 2
@@ -95,9 +98,7 @@ class PolynomialPath:
             t0, c0 = pts[idx]
             t1, c1 = pts[idx + 1]
             lam = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            a = c0 + (0.0,) * (width - len(c0))
-            b = c1 + (0.0,) * (width - len(c1))
-            return tuple((1 - lam) * x + lam * y for x, y in zip(a, b))
+            return linear_combination(1 - lam, c0, lam, c1)
 
         return cls(pts[0][0], pts[-1][0], fn, label="piecewise-linear")
 
@@ -222,15 +223,12 @@ def find_crossing(
 
     t_star = t_hi
     p_star = path.at(t_star)
-    if p_star.is_zero():
-        return CrossingOutcome(
-            CrossingKind.NO_CROSSING_UNSTABLE, None, hyp_ok, hyp_note, t_star
-        )
-    rs = all_roots(p_star)
-    if not rs.roots:
-        return CrossingOutcome(
-            CrossingKind.NO_CROSSING_UNSTABLE, None, hyp_ok, hyp_note, t_star
-        )
+    no_crossing = CrossingOutcome(
+        CrossingKind.NO_CROSSING_UNSTABLE, None, hyp_ok, hyp_note, t_star
+    )
+    rs = None if p_star.is_zero() else all_roots(p_star)
+    if rs is None or not rs.roots:
+        return no_crossing
     m = min(abs(r.real) for r in rs.roots)
     ties = [r for r in rs.roots if abs(r.real) <= m + 1e-9 * (1.0 + abs(r))]
     near = max(ties, key=lambda r: r.imag)
@@ -249,9 +247,7 @@ def find_crossing(
             hyp_note,
             t_star,
         )
-    return CrossingOutcome(
-        CrossingKind.NO_CROSSING_UNSTABLE, None, hyp_ok, hyp_note, t_star
-    )
+    return no_crossing
 
 
 def wronskian_identity_check(
@@ -273,14 +269,12 @@ def wronskian_identity_check(
     if abs(a1 + a2 + a3 + a4 - 1.0) > 1e-12:
         raise ValueError("weights must sum to 1")
 
-    def mix(p: RealPolynomial, q: RealPolynomial, u: float, v: float) -> RealPolynomial:
-        n = max(len(p.coeffs), len(q.coeffs))
-        pc = p.coeffs + (0.0,) * (n - len(p.coeffs))
-        qc = q.coeffs + (0.0,) * (n - len(q.coeffs))
-        return RealPolynomial(tuple(u * x + v * y for x, y in zip(pc, qc)))
-
-    h = mix(quad.h_minus, quad.h_plus, a1 + a4, a2 + a3)
-    g = mix(quad.g_minus, quad.g_plus, a1 + a2, a3 + a4)
+    h = RealPolynomial(
+        linear_combination(a1 + a4, quad.h_minus.coeffs, a2 + a3, quad.h_plus.coeffs)
+    )
+    g = RealPolynomial(
+        linear_combination(a1 + a2, quad.g_minus.coeffs, a3 + a4, quad.g_plus.coeffs)
+    )
     lhs = evaluate(wronskian(h, g), omega).real
     ww = {
         (m, n): evaluate(wronskian(m_, n_), omega).real

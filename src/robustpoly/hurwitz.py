@@ -230,9 +230,10 @@ def is_hurwitz(
     ``root_witness=False`` skips the extra root solve that otherwise
     upgrades index witnesses to an offending root on UNSTABLE verdicts
     (bulk callers sampling thousands of members want it off).
-    ``cross_check=True`` additionally runs the root method and raises
-    :class:`MethodDisagreement` if the two routes split; meant for audits,
-    it should never fire.
+    ``cross_check=True`` runs the root method on every verdict (meant for
+    audits).  Whenever the roots are solved, at most once per call, and
+    split from the array, :class:`MethodDisagreement` is raised; it should
+    never fire.
     """
     deg = p.degree()
     if deg is None:
@@ -242,36 +243,31 @@ def is_hurwitz(
     if deg == 0:
         return StabilityVerdict(Status.STABLE, "routh", note="constant")
 
-    verdict: StabilityVerdict | None = None
     idx = stodola_precheck(q)
     if idx is not None:
         verdict = StabilityVerdict(Status.UNSTABLE, "stodola", witness_index=idx)
-    if verdict is None:
+    else:
         verdict = routh_hurwitz(q)
-    if verdict.status is Status.DEGENERATE:
-        verdict = _roots_verdict(q, axis_tol)
-    elif verdict.status is Status.UNSTABLE and root_witness:
-        by_roots = _roots_verdict(q, axis_tol)
-        if by_roots.is_stable:
-            raise MethodDisagreement(
-                f"{verdict.method} says UNSTABLE but roots say STABLE for {p}"
-            )
-        if by_roots.status is Status.MARGINAL:
-            # the offending root sits on the axis band, refine the class
-            verdict = by_roots
-        else:
-            verdict = StabilityVerdict(
-                verdict.status,
-                verdict.method,
-                witness_root=by_roots.witness_root,
-                witness_index=verdict.witness_index,
-            )
+    degenerate = verdict.status is Status.DEGENERATE
+    upgrade = verdict.status is Status.UNSTABLE and root_witness
+    if not (degenerate or upgrade or cross_check):
+        return verdict
 
-    if cross_check:
-        by_roots = _roots_verdict(q, axis_tol)
-        if by_roots.is_stable != verdict.is_stable:
-            raise MethodDisagreement(
-                f"{verdict.method} gives {verdict.status.value} but roots give "
-                f"{by_roots.status.value} for {p}"
-            )
+    by_roots = _roots_verdict(q, axis_tol)  # the one root solve of this call
+    if degenerate or (upgrade and by_roots.status is Status.MARGINAL):
+        # the roots settle a singular array, and refine an UNSTABLE class
+        # whose offending root sits on the axis band
+        verdict = by_roots
+    elif upgrade:
+        verdict = StabilityVerdict(
+            verdict.status,
+            verdict.method,
+            witness_root=by_roots.witness_root,
+            witness_index=verdict.witness_index,
+        )
+    if by_roots.is_stable != verdict.is_stable:
+        raise MethodDisagreement(
+            f"{verdict.method} gives {verdict.status.value} but roots give "
+            f"{by_roots.status.value} for {p}"
+        )
     return verdict

@@ -14,6 +14,7 @@ polynomials.  That geometry backs the zero-exclusion diagnostics here.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .hurwitz import AXIS_TOL, StabilityVerdict, Status, is_hurwitz
@@ -39,6 +40,9 @@ __all__ = [
 CONTAINS_ZERO_SLACK = 1e-9
 
 CORNER_CROSS_TOL = 1e-10
+
+# the verdict on a corner polynomial that is identically zero
+ZERO_CORNER = StabilityVerdict(Status.DEGENERATE, "routh", note="zero polynomial")
 
 
 class HypothesisNotMet(ValueError):
@@ -232,8 +236,8 @@ def rectangle_sweep(
     """Rectangles over ``[0, omega_max]``: a uniform grid of ``steps``
     frequencies plus bisection-refined points wherever one of the four
     bound polynomials changes sign between neighbours."""
-    if omega_max <= 0 or steps < 2:
-        raise ValueError("need omega_max > 0 and steps >= 2")
+    if not 0 < omega_max < math.inf or steps < 2:
+        raise ValueError("need a finite omega_max > 0 and steps >= 2")
     quad = kharitonov_polys(box)
     bounds = (quad.h_minus, quad.h_plus, quad.g_minus, quad.g_plus)
     grid = [omega_max * i / (steps - 1) for i in range(steps)]
@@ -273,12 +277,9 @@ def corollary1_check(box: IntervalPolynomial) -> tuple[bool, int | None]:
     n = box.order
     if not box.hi[n] > 0.0:
         raise HypothesisNotMet("upper leading bound must be positive")
-    quad = kharitonov_polys(box)
-    for j, k in enumerate(quad.polys, start=1):
-        if k.is_zero() or not is_hurwitz(k, root_witness=False).is_stable:
+    for j, v in enumerate(kharitonov_test(box).corners, start=1):
+        if not v.is_stable:
             raise HypothesisNotMet(f"corner polynomial k{j} is not Hurwitz stable")
-    if n == 0:
-        return (True, None) if box.lo[0] > 0.0 else (False, 0)
     for i in range(n):
         if not box.lo[i] > 0.0:
             return False, i
@@ -289,14 +290,19 @@ def corollary1_check(box: IntervalPolynomial) -> tuple[bool, int | None]:
 
 @dataclass(frozen=True)
 class FamilyVerdict(StabilityVerdict):
-    """Family-level verdict; on failure names the offending corner.
+    """Family-level verdict and the corner verdicts it was taken from.
 
-    ``failing_k`` is 1-based (k1..k4); ``witness_poly`` is that corner
-    polynomial, itself a member of the box.
+    ``quad`` holds the corner polynomials of the sign-normalized box and
+    ``corners`` their four verdicts in k1..k4 order; a zero corner is
+    DEGENERATE.  Only the first failing corner carries a witness root.  On
+    failure ``failing_k`` (1-based, k1..k4) names that corner and
+    ``witness_poly`` is its polynomial, itself a member of the box.
     """
 
     failing_k: int | None = None
     witness_poly: RealPolynomial | None = None
+    quad: KharitonovQuad | None = None
+    corners: tuple[StabilityVerdict, ...] = ()
 
 
 def kharitonov_test(
@@ -306,54 +312,53 @@ def kharitonov_test(
 
     STABLE iff all four corner polynomials are Hurwitz stable; the sign of
     the leading interval is normalized first, so ``kharitonov_test(-P)``
-    agrees with ``kharitonov_test(P)``.  On failure the verdict carries the
-    failing corner and its offending root.  Two degenerate situations are
-    reported as DEGENERATE rather than forced into STABLE/UNSTABLE: a box
-    of constants straddling zero, and a corner polynomial that is
-    identically zero (both mean the zero polynomial is a member).
+    agrees with ``kharitonov_test(P)``.  All four corner verdicts are kept
+    on the result; on failure it names the failing corner, the only one
+    whose offending root is solved.  Two degenerate situations are reported
+    as DEGENERATE rather than forced into STABLE/UNSTABLE: a box of
+    constants straddling zero, and a corner polynomial that is identically
+    zero (both mean the zero polynomial is a member).
     """
     work = box if box.hi[-1] > 0.0 else -box
-    flipped = work is not box
-    n = work.order
+    quad = kharitonov_polys(work)
+    # a zero corner fails first; every other corner is then classified
+    # without a root witness, as are the corners after the first failing one
+    failing = next((j for j, k in enumerate(quad.polys, start=1) if k.is_zero()), None)
+    corners = []
+    for j, k in enumerate(quad.polys, start=1):
+        v = ZERO_CORNER if k.is_zero() else is_hurwitz(k, axis_tol, root_witness=failing is None)
+        if failing is None and not v.is_stable:
+            failing = j
+        corners.append(v)
+    found = {"quad": quad, "corners": tuple(corners)}
 
-    if n == 0:
-        if work.lo[0] > 0.0:
-            return FamilyVerdict(Status.STABLE, "routh", note="constant family")
+    if work.order == 0 and not work.lo[0] > 0.0:
         return FamilyVerdict(
             Status.DEGENERATE,
             "routh",
             note="family contains the zero polynomial",
             witness_poly=RealPolynomial((0.0,)),
+            **found,
         )
-
-    quad = kharitonov_polys(work)
-    for j, k in enumerate(quad.polys, start=1):
-        if k.is_zero():
-            return FamilyVerdict(
-                Status.DEGENERATE,
-                "routh",
-                note=f"corner polynomial k{j} is the zero polynomial",
-                failing_k=j,
-                witness_poly=k,
-            )
-
-    for j, k in enumerate(quad.polys, start=1):
-        v = is_hurwitz(k, axis_tol)
-        if not v.is_stable:
-            note = f"corner polynomial k{j} is {v.status.value}"
-            if flipped:
-                note += " (leading sign normalized)"
-            return FamilyVerdict(
-                v.status,
-                v.method,
-                witness_root=v.witness_root,
-                witness_index=v.witness_index,
-                note=note,
-                failing_k=j,
-                witness_poly=k,
-            )
+    if failing is None:
+        note = "all four corner polynomials are Hurwitz stable"
+        if work.order == 0:
+            note = "constant family"
+        return FamilyVerdict(Status.STABLE, "routh", note=note, **found)
+    v = corners[failing - 1]
+    if v is ZERO_CORNER:
+        note = f"corner polynomial k{failing} is the zero polynomial"
+    else:
+        note = f"corner polynomial k{failing} is {v.status.value}"
+        if work is not box:
+            note += " (leading sign normalized)"
     return FamilyVerdict(
-        Status.STABLE,
-        "routh",
-        note="all four corner polynomials are Hurwitz stable",
+        v.status,
+        v.method,
+        witness_root=v.witness_root,
+        witness_index=v.witness_index,
+        note=note,
+        failing_k=failing,
+        witness_poly=quad.polys[failing - 1],
+        **found,
     )

@@ -29,6 +29,7 @@ __all__ = [
     "CrossValidation",
     "enumerate_members",
     "oracle_verdict",
+    "witness_root",
     "cross_validate",
     "random_box",
 ]
@@ -143,16 +144,16 @@ class OracleReport:
     """What the enumeration saw.
 
     ``verdict`` is UNSTABLE as soon as one member fails, else
-    STABLE_EVIDENCE.  Witnesses re-verify: each polynomial lies in the box
-    and its offending root sits in the closed right half-plane (up to the
-    axis tolerance); at most a handful are stored, the rest only counted.
-    A witness with ``root=None`` is the zero polynomial member.
+    STABLE_EVIDENCE.  ``witnesses`` holds the coefficients of the first
+    ``MAX_STORED_WITNESSES`` unstable members, in enumeration order; the
+    rest are only counted.  Each lies in the box, and
+    :func:`witness_root` solves its offending root on demand.
     """
 
     verdict: str  # "STABLE_EVIDENCE" | "UNSTABLE"
     tested: int
     unstable_count: int
-    witnesses: tuple[tuple[tuple[float, ...], complex | None], ...] = ()
+    witnesses: tuple[tuple[float, ...], ...] = ()
 
 
 def oracle_verdict(
@@ -164,26 +165,34 @@ def oracle_verdict(
     rows by :func:`~robustpoly.hurwitz.is_hurwitz_rows`, whose verdict on
     each row is that of ``is_hurwitz(member, root_witness=False)``: rows
     with a singular Routh array fall back to the scalar :func:`is_hurwitz`,
-    which settles them by roots.  Witness roots are solved only for the
-    first ``MAX_STORED_WITNESSES`` unstable members.
+    which settles them by roots.  No other root is solved: the witnesses
+    are stored as coefficients, and :func:`witness_root` solves a root
+    for those a caller shows.
     """
     tested = 0
     bad = 0
-    witnesses: list[tuple[tuple[float, ...], complex | None]] = []
+    witnesses: list[tuple[float, ...]] = []
     for block in _member_blocks(box, plan):
         tested += len(block)
         unstable = np.flatnonzero(~is_hurwitz_rows(block, axis_tol))
         bad += len(unstable)
         for i in unstable[: MAX_STORED_WITNESSES - len(witnesses)]:
-            p = RealPolynomial(tuple(block[i].tolist()))
-            root = None if p.is_zero() else all_roots(p).rightmost()
-            witnesses.append((p.coeffs, root))
+            witnesses.append(tuple(block[i].tolist()))
     return OracleReport(
         verdict="UNSTABLE" if bad else "STABLE_EVIDENCE",
         tested=tested,
         unstable_count=bad,
         witnesses=tuple(witnesses),
     )
+
+
+def witness_root(coeffs: tuple[float, ...]) -> complex | None:
+    """Rightmost root of a witness member, ``None`` for the zero member.
+
+    Raises :class:`~robustpoly.roots.NonConvergence` if the solve gives up.
+    """
+    p = RealPolynomial(coeffs)
+    return None if p.is_zero() else all_roots(p).rightmost()
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 __all__ = [
     "ZeroPolynomial",
@@ -19,6 +20,7 @@ __all__ = [
     "derivative",
     "wronskian",
     "hg_split",
+    "linear_combination",
     "convex_combine",
     "format_poly",
 ]
@@ -127,10 +129,8 @@ def wronskian(h: RealPolynomial, g: RealPolynomial) -> RealPolynomial:
     """
     hg = _polymul(h.coeffs, derivative(g).coeffs)
     gh = _polymul(derivative(h).coeffs, g.coeffs)
-    n = max(len(hg), len(gh))
-    hg += [0.0] * (n - len(hg))
-    gh += [0.0] * (n - len(gh))
-    return RealPolynomial(tuple(x - y for x, y in zip(hg, gh)))
+    # 1*x + (-1)*y rounds exactly as x - y
+    return RealPolynomial(linear_combination(1.0, hg, -1.0, gh))
 
 
 def hg_split(p: RealPolynomial) -> tuple[RealPolynomial, RealPolynomial]:
@@ -151,6 +151,11 @@ def hg_split(p: RealPolynomial) -> tuple[RealPolynomial, RealPolynomial]:
     return RealPolynomial(tuple(hc)), RealPolynomial(tuple(gc))
 
 
+def linear_combination(u: float, p, v: float, q) -> tuple[float, ...]:
+    """Coefficientwise ``u*p + v*q``; the shorter sequence is padded with zeros."""
+    return tuple(u * x + v * y for x, y in zip_longest(p, q, fillvalue=0.0))
+
+
 def convex_combine(p: RealPolynomial, q: RealPolynomial, t: float) -> RealPolynomial:
     """Coefficientwise ``(1-t)*p + t*q`` for ``t`` in [0, 1].
 
@@ -159,10 +164,7 @@ def convex_combine(p: RealPolynomial, q: RealPolynomial, t: float) -> RealPolyno
     """
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t}")
-    n = max(len(p.coeffs), len(q.coeffs))
-    a = p.coeffs + (0.0,) * (n - len(p.coeffs))
-    b = q.coeffs + (0.0,) * (n - len(q.coeffs))
-    return RealPolynomial(tuple((1.0 - t) * x + t * y for x, y in zip(a, b)))
+    return RealPolynomial(linear_combination(1.0 - t, p.coeffs, t, q.coeffs))
 
 
 def format_poly(p: RealPolynomial, var: str = "z") -> str:

@@ -52,6 +52,21 @@ class TestCheck:
         assert main(["check", str(replay)]) == 0
         assert "verdict: STABLE" in capsys.readouterr().out
 
+    def test_text_solves_no_roots_json_lists_them(self, demo_problem_path, capsys, monkeypatch):
+        assert main(["check", str(demo_problem_path)]) == 0
+        want = capsys.readouterr().out
+
+        def no_roots(p):
+            raise AssertionError("text check solved roots")
+
+        monkeypatch.setattr(cli, "all_roots", no_roots)
+        assert main(["check", str(demo_problem_path)]) == 0
+        assert capsys.readouterr().out == want
+        monkeypatch.undo()
+        assert main(["check", "--json", str(demo_problem_path)]) == 0
+        cert = json.loads(demo_problem_path.with_suffix(".cert.json").read_text())
+        assert [len(e["roots"]) for e in cert["kharitonov"]] == [3, 4, 4, 3]
+
     def test_quiet_prints_verdict_only(self, demo_problem_path, capsys):
         assert main(["check", "--quiet", str(demo_problem_path)]) == 0
         assert capsys.readouterr().out == "verdict: STABLE\n"
@@ -131,6 +146,27 @@ class TestRect:
         out = capsys.readouterr().out
         assert "contains 0 at omega" in out
         assert "1" in out
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--omega-max", "inf"], ["--omega-max", "nan"], ["--omega-max", "0"], ["--steps", "0"]],
+    )
+    def test_bad_limits_exit_two(self, demo_problem_path, capsys, flags):
+        assert main(["rect", str(demo_problem_path), *flags]) == 2
+        assert "omega_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["Infinity", "NaN", "1e400", "9" * 400])
+    def test_non_finite_omega_max_in_file_exit_two(self, tmp_path, capsys, value):
+        prob = tmp_path / "inf.json"
+        prob.write_text('{"order": 1, "intervals": [[1, 1], [1, 1]], "omega_max": %s}' % value)
+        assert main(["rect", str(prob)]) == 2
+        assert "'omega_max' must be a positive finite number" in capsys.readouterr().err
+
+    def test_explicit_limits_not_replaced_by_defaults(self, demo_problem_path, capsys):
+        argv = ["rect", "--json", str(demo_problem_path), "--omega-max", "0.5", "--steps", "2"]
+        assert main(argv) == 0
+        blob = json.loads(capsys.readouterr().out)
+        assert (blob["omega_max"], blob["steps"]) == (0.5, 2)
 
     def test_json_summary(self, demo_problem_path, capsys):
         assert main(["rect", "--json", str(demo_problem_path)]) == 0

@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
+import robustpoly.hurwitz as hurwitz_mod
 from robustpoly import (
+    MethodDisagreement,
     RealPolynomial,
+    RootSet,
     Status,
     is_hurwitz,
     routh_hurwitz,
     stodola_precheck,
 )
+
+from robustpoly.roots import all_roots
 
 from conftest import random_poly, random_stable_poly
 
@@ -121,3 +126,27 @@ class TestIsHurwitz:
         p = RealPolynomial((1.0, 1.0 + e * 2, 1.0 + e * 2, 1.0))
         assert is_hurwitz(p, axis_tol=1e-9).status is Status.MARGINAL
         assert is_hurwitz(p, axis_tol=1e-16).status is Status.STABLE
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(1.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (6.0, 11.0, 6.0, 1.0)],
+        ids=["singular", "unstable", "stable"],
+    )
+    @pytest.mark.parametrize("cross_check", [False, True])
+    def test_roots_solved_at_most_once(self, monkeypatch, coeffs, cross_check):
+        calls = []
+
+        def counting(p):
+            calls.append(p)
+            return all_roots(p)
+
+        monkeypatch.setattr(hurwitz_mod, "all_roots", counting)
+        is_hurwitz(RealPolynomial(coeffs), cross_check=cross_check)
+        assert len(calls) <= 1
+
+    def test_roots_contradicting_the_array_raise(self, monkeypatch):
+        # z - 1 fails Stodola; roots that claim it stable are a disagreement
+        fake = RootSet((-1 + 0j,), (1,), 1)
+        monkeypatch.setattr(hurwitz_mod, "all_roots", lambda p: fake)
+        with pytest.raises(MethodDisagreement):
+            is_hurwitz(RealPolynomial((-1.0, 1.0)))

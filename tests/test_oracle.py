@@ -13,6 +13,7 @@ from robustpoly import (
     is_hurwitz,
     oracle_verdict,
     random_box,
+    witness_root,
 )
 import robustpoly.oracle as oracle_mod
 
@@ -80,8 +81,8 @@ class TestOracleVerdict:
         p = (1.0, 0.0, 1.0)
         rep = oracle_verdict(IntervalPolynomial(p, p), SamplePlan.vertices())
         assert rep.verdict == "UNSTABLE"
-        coeffs, root = rep.witnesses[0]
-        assert coeffs == p
+        assert rep.witnesses[0] == p
+        root = witness_root(rep.witnesses[0])
         assert abs(root.real) <= 1e-9
         assert abs(abs(root.imag) - 1.0) < 1e-6
 
@@ -89,16 +90,18 @@ class TestOracleVerdict:
         box = IntervalPolynomial((0.0, 0.0), (0.0, 1.0))
         rep = oracle_verdict(box, SamplePlan.vertices())
         assert rep.verdict == "UNSTABLE"
-        assert ((0.0, 0.0), None) in rep.witnesses
+        assert (0.0, 0.0) in rep.witnesses
+        assert witness_root((0.0, 0.0)) is None
 
     def test_witness_soundness(self):
         found = 0
         for i in range(30):
             box = random_box(seed=5000 + i)
             rep = oracle_verdict(box, SamplePlan.random(100, seed=i))
-            for coeffs, root in rep.witnesses:
+            for coeffs in rep.witnesses:
                 found += 1
                 p = RealPolynomial(coeffs)
+                root = witness_root(coeffs)
                 assert box.contains(p)
                 if root is None:
                     assert p.is_zero()

@@ -25,8 +25,7 @@ from robustpoly import (
 )
 import robustpoly.hurwitz as hurwitz_mod
 from robustpoly.hurwitz import AXIS_TOL, is_hurwitz_rows
-from robustpoly.oracle import BLOCK_ROWS, MAX_STORED_WITNESSES, OracleReport
-from robustpoly.roots import all_roots
+from robustpoly.oracle import BLOCK_ROWS, MAX_STORED_WITNESSES, OracleReport, witness_root
 
 
 def reference_members(box, plan):
@@ -60,13 +59,13 @@ def reference_verdict(box, plan, axis_tol=AXIS_TOL):
         if p.is_zero():
             bad += 1
             if len(witnesses) < MAX_STORED_WITNESSES:
-                witnesses.append((p.coeffs, None))
+                witnesses.append(p.coeffs)
             continue
         v = is_hurwitz(p, axis_tol, root_witness=False)
         if not v.is_stable:
             bad += 1
             if len(witnesses) < MAX_STORED_WITNESSES:
-                witnesses.append((p.coeffs, all_roots(p).rightmost()))
+                witnesses.append(p.coeffs)
     return OracleReport(
         verdict="UNSTABLE" if bad else "STABLE_EVIDENCE",
         tested=tested,
@@ -224,13 +223,14 @@ class TestBlocksMatchLoop:
                     assert oracle_verdict(b, plan) == reference_verdict(b, plan), (b, plan)
 
     def test_degree_20_product_report(self):
-        # the float Routh verdict is wrong and its witness root solve does not
-        # converge; both paths must fail the same way
+        # both paths take the same wrong float Routh verdict (the polynomial
+        # is Hurwitz), and the witness root solve does not converge
         box = IntervalPolynomial(PRODUCT_20, PRODUCT_20)
+        rep = oracle_verdict(box, SamplePlan.vertices())
+        assert rep == reference_verdict(box, SamplePlan.vertices())
+        assert rep.verdict == "UNSTABLE"
         with pytest.raises(NonConvergence):
-            reference_verdict(box, SamplePlan.vertices())
-        with pytest.raises(NonConvergence):
-            oracle_verdict(box, SamplePlan.vertices())
+            witness_root(rep.witnesses[0])
 
     def test_many_unstable_members_across_blocks(self):
         box = IntervalPolynomial((-2.0, 1.0), (-1.0, 2.0))
