@@ -91,7 +91,12 @@ def load_problem(path: str) -> tuple[IntervalPolynomial, dict]:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
         ):
             raise ProblemError(f"{where}: intervals[{i}] must be an [lo, hi] number pair")
-        lo, hi = float(pair[0]), float(pair[1])
+        try:
+            lo, hi = float(pair[0]), float(pair[1])
+        except OverflowError:
+            raise ProblemError(
+                f"{where}: intervals[{i}] has a bound beyond the float range"
+            ) from None
         if not lo <= hi:
             raise ProblemError(f"{where}: intervals[{i}] is empty: [{lo}, {hi}]")
         pairs.append((lo, hi))
@@ -392,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--quiet", action="store_true", help="verdict lines only")
-    common.add_argument("--seed", type=int, default=None, help="random seed override")
 
     ap = argparse.ArgumentParser(
         prog="robustpoly",
@@ -427,6 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["vertices", "grid", "random"], default="random")
     p.add_argument("--count", type=int, default=1000, help="random mode sample count")
     p.add_argument("--points", type=int, default=3, help="grid mode points per axis")
+    p.add_argument("--seed", type=int, default=None, help="random mode seed override")
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("homotopy", parents=[common], help="first stability loss along a path")
@@ -445,10 +450,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ProblemError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as e:
+    except ValueError as e:  # ProblemError included
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -71,11 +71,9 @@ class PolynomialPath:
         return RealPolynomial(self.coeff_fn(t))
 
     @classmethod
-    def convex(
-        cls, p: RealPolynomial, q: RealPolynomial, a: float = 0.0, b: float = 1.0
-    ) -> "PolynomialPath":
-        """Straight-line segment ``(1-t) p + t q`` (coefficientwise)."""
-        return cls(a, b, lambda t: convex_combine(p, q, t).coeffs, label="convex")
+    def convex(cls, p: RealPolynomial, q: RealPolynomial) -> "PolynomialPath":
+        """Straight-line segment ``(1-t) p + t q`` on ``[0, 1]`` (coefficientwise)."""
+        return cls(0.0, 1.0, lambda t: convex_combine(p, q, t).coeffs, label="convex")
 
     @classmethod
     def piecewise_linear(
@@ -177,9 +175,9 @@ class CrossingOutcome:
 
 def _hypothesis_scan(path: PolynomialPath, sweep: SweepResult) -> tuple[bool, str]:
     # crossing guarantee needs: stable start, and the formal leading
-    # coefficient nonzero up to (not including) the far endpoint
-    p0 = path.at(path.a)
-    if p0.is_zero() or not is_hurwitz(p0, root_witness=False).is_stable:
+    # coefficient nonzero up to (not including) the far endpoint; the
+    # sweep starts at path.a and has refused a zero member already
+    if not sweep.verdicts[0].is_stable:
         return False, "start polynomial is not Hurwitz stable"
     for t in sweep.ts[:-1]:
         if path.at(t).coeffs[-1] == 0.0:

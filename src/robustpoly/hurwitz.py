@@ -29,6 +29,7 @@ __all__ = [
     "is_hurwitz_rows",
 ]
 
+# roots this close to the imaginary axis are MARGINAL (read by _roots_verdict)
 AXIS_TOL = 1e-9
 # A Routh pivot (or a whole row) is zero when its magnitude is at most
 # ``PIVOT_REL_TOL`` times the largest entry of the array so far.
@@ -149,14 +150,15 @@ def _routh_block(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return stable, singular
 
 
-def is_hurwitz_rows(block: np.ndarray, axis_tol: float = AXIS_TOL) -> np.ndarray:
+def is_hurwitz_rows(block: np.ndarray) -> np.ndarray:
     """Stability of every row of a ``(k, n+1)`` block of ascending coefficients.
 
-    Entry ``i`` equals ``is_hurwitz(RealPolynomial(block[i]), axis_tol,
+    Entry ``i`` equals ``is_hurwitz(RealPolynomial(block[i]),
     root_witness=False).is_stable``; zero rows come back ``False``.  Rows
     are grouped by effective degree, and the sign normalization, Stodola
     and the Routh array run on each group at once.  Rows whose array is
-    singular are handed to :func:`is_hurwitz`, which settles them by roots.
+    singular are handed to :func:`is_hurwitz`, which settles them by roots
+    against the band ``AXIS_TOL``.
     """
     block = np.asarray(block, dtype=float)
     mag = np.abs(block)
@@ -170,7 +172,7 @@ def is_hurwitz_rows(block: np.ndarray, axis_tol: float = AXIS_TOL) -> np.ndarray
         stable[rows], singular[rows] = _routh_block(block[rows, : d + 1])
     for i in np.flatnonzero(singular):
         p = RealPolynomial(tuple(block[i].tolist()))
-        stable[i] = is_hurwitz(p, axis_tol, root_witness=False).is_stable
+        stable[i] = is_hurwitz(p, root_witness=False).is_stable
     return stable
 
 
@@ -202,38 +204,31 @@ def routh_hurwitz(p: RealPolynomial) -> StabilityVerdict:
     return StabilityVerdict(Status.STABLE, "routh")
 
 
-def _roots_verdict(p: RealPolynomial, axis_tol: float) -> StabilityVerdict:
+def _roots_verdict(p: RealPolynomial) -> StabilityVerdict:
     rs = all_roots(p)
     if not rs.roots:
         return StabilityVerdict(Status.STABLE, "roots", note="constant")
     worst = rs.rightmost()
-    if worst.real < -axis_tol:
+    if worst.real < -AXIS_TOL:
         return StabilityVerdict(Status.STABLE, "roots")
-    if worst.real <= axis_tol:
+    if worst.real <= AXIS_TOL:
         return StabilityVerdict(Status.MARGINAL, "roots", witness_root=worst)
     return StabilityVerdict(Status.UNSTABLE, "roots", witness_root=worst)
 
 
-def is_hurwitz(
-    p: RealPolynomial,
-    axis_tol: float = AXIS_TOL,
-    root_witness: bool = True,
-    cross_check: bool = False,
-) -> StabilityVerdict:
+def is_hurwitz(p: RealPolynomial, root_witness: bool = True) -> StabilityVerdict:
     """Decide whether every root of ``p`` lies in the open left half-plane.
 
     The sign of the leading coefficient is normalized away, the positivity
     precheck rejects cheaply, the Routh array decides the generic case and
-    the root method settles singular arrays.  Roots within ``axis_tol`` of
+    the root method settles singular arrays.  Roots within ``AXIS_TOL`` of
     the imaginary axis come back MARGINAL rather than STABLE/UNSTABLE.
 
     ``root_witness=False`` skips the extra root solve that otherwise
     upgrades index witnesses to an offending root on UNSTABLE verdicts
-    (bulk callers sampling thousands of members want it off).
-    ``cross_check=True`` runs the root method on every verdict (meant for
-    audits).  Whenever the roots are solved, at most once per call, and
-    split from the array, :class:`MethodDisagreement` is raised; it should
-    never fire.
+    (bulk callers sampling thousands of members want it off).  Whenever
+    the roots are solved, at most once per call, and split from the array,
+    :class:`MethodDisagreement` is raised; it should never fire.
     """
     deg = p.degree()
     if deg is None:
@@ -250,10 +245,10 @@ def is_hurwitz(
         verdict = routh_hurwitz(q)
     degenerate = verdict.status is Status.DEGENERATE
     upgrade = verdict.status is Status.UNSTABLE and root_witness
-    if not (degenerate or upgrade or cross_check):
+    if not (degenerate or upgrade):
         return verdict
 
-    by_roots = _roots_verdict(q, axis_tol)  # the one root solve of this call
+    by_roots = _roots_verdict(q)  # the one root solve of this call
     if degenerate or (upgrade and by_roots.status is Status.MARGINAL):
         # the roots settle a singular array, and refine an UNSTABLE class
         # whose offending root sits on the axis band

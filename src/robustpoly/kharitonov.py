@@ -13,11 +13,10 @@ polynomials.  That geometry backs the zero-exclusion diagnostics here.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
-from .hurwitz import AXIS_TOL, StabilityVerdict, Status, is_hurwitz
+from .hurwitz import StabilityVerdict, Status, is_hurwitz
 from .poly_core import RealPolynomial, evaluate, hg_split
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "KharitonovQuad",
     "RectangleSample",
     "FamilyVerdict",
-    "Corner",
     "kharitonov_polys",
     "rectangle",
     "rectangle_sweep",
@@ -47,15 +45,6 @@ ZERO_CORNER = StabilityVerdict(Status.DEGENERATE, "routh", note="zero polynomial
 
 class HypothesisNotMet(ValueError):
     """A result was requested whose hypotheses the input does not satisfy."""
-
-
-class Corner(enum.Enum):
-    """Which interval endpoint each corner polynomial takes, by index mod 4."""
-
-    K1 = ("lo", "lo", "hi", "hi")
-    K2 = ("hi", "lo", "lo", "hi")
-    K3 = ("hi", "hi", "lo", "lo")
-    K4 = ("lo", "hi", "hi", "lo")
 
 
 @dataclass(frozen=True)
@@ -101,24 +90,10 @@ class IntervalPolynomial:
             tuple(-v for v in self.hi), tuple(-v for v in self.lo)
         )
 
-    def contains(self, p: RealPolynomial, tol: float = 0.0) -> bool:
+    def contains(self, p: RealPolynomial) -> bool:
         """Coefficientwise membership; coefficients beyond the box must vanish."""
-        for i, c in enumerate(p.coeffs):
-            if i <= self.order:
-                if not (self.lo[i] - tol <= c <= self.hi[i] + tol):
-                    return False
-            elif abs(c) > tol:
-                return False
-        return True
-
-    def corner(self, which: Corner) -> RealPolynomial:
-        picks = which.value
-        return RealPolynomial(
-            tuple(
-                self.lo[i] if picks[i % 4] == "lo" else self.hi[i]
-                for i in range(self.order + 1)
-            )
-        )
+        inside = all(lo <= c <= hi for lo, c, hi in zip(self.lo, p.coeffs, self.hi))
+        return inside and not any(p.coeffs[self.order + 1 :])
 
 
 @dataclass(frozen=True)
@@ -146,11 +121,18 @@ class KharitonovQuad:
 
 
 def kharitonov_polys(box: IntervalPolynomial) -> KharitonovQuad:
-    """Assemble the four corner polynomials and their h/g bound splits."""
-    k1 = box.corner(Corner.K1)
-    k2 = box.corner(Corner.K2)
-    k3 = box.corner(Corner.K3)
-    k4 = box.corner(Corner.K4)
+    """Assemble the four corner polynomials and their h/g bound splits.
+
+    Corner ``kj`` takes the lower or upper endpoint of interval ``i`` by
+    ``i mod 4``: ``lo lo hi hi`` for k1, ``hi lo lo hi`` for k2, ``hi hi lo
+    lo`` for k3 and ``lo hi hi lo`` for k4.
+    """
+    k1, k2, k3, k4 = (
+        RealPolynomial(
+            tuple(box.hi[i] if picks[i % 4] == "h" else box.lo[i] for i in range(box.order + 1))
+        )
+        for picks in ("llhh", "hllh", "hhll", "lhhl")
+    )
     h_minus, g_minus = hg_split(k1)
     h_plus, g_plus = hg_split(k3)
     return KharitonovQuad(k1, k2, k3, k4, h_minus, h_plus, g_minus, g_plus)
@@ -305,9 +287,7 @@ class FamilyVerdict(StabilityVerdict):
     corners: tuple[StabilityVerdict, ...] = ()
 
 
-def kharitonov_test(
-    box: IntervalPolynomial, axis_tol: float = AXIS_TOL
-) -> FamilyVerdict:
+def kharitonov_test(box: IntervalPolynomial) -> FamilyVerdict:
     """Decide robust Hurwitz stability of the whole box.
 
     STABLE iff all four corner polynomials are Hurwitz stable; the sign of
@@ -326,7 +306,7 @@ def kharitonov_test(
     failing = next((j for j, k in enumerate(quad.polys, start=1) if k.is_zero()), None)
     corners = []
     for j, k in enumerate(quad.polys, start=1):
-        v = ZERO_CORNER if k.is_zero() else is_hurwitz(k, axis_tol, root_witness=failing is None)
+        v = ZERO_CORNER if k.is_zero() else is_hurwitz(k, root_witness=failing is None)
         if failing is None and not v.is_stable:
             failing = j
         corners.append(v)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hurwitz import AXIS_TOL, is_hurwitz, is_hurwitz_rows
+from .hurwitz import is_hurwitz, is_hurwitz_rows
 from .kharitonov import FamilyVerdict, IntervalPolynomial, kharitonov_test
 from .poly_core import RealPolynomial
 from .roots import all_roots
@@ -156,25 +156,25 @@ class OracleReport:
     witnesses: tuple[tuple[float, ...], ...] = ()
 
 
-def oracle_verdict(
-    box: IntervalPolynomial, plan: SamplePlan, axis_tol: float = AXIS_TOL
-) -> OracleReport:
+def oracle_verdict(box: IntervalPolynomial, plan: SamplePlan) -> OracleReport:
     """Classify every member the plan produces.
 
     Members are made and classified in blocks of at most ``BLOCK_ROWS``
     rows by :func:`~robustpoly.hurwitz.is_hurwitz_rows`, whose verdict on
     each row is that of ``is_hurwitz(member, root_witness=False)``: rows
     with a singular Routh array fall back to the scalar :func:`is_hurwitz`,
-    which settles them by roots.  No other root is solved: the witnesses
-    are stored as coefficients, and :func:`witness_root` solves a root
-    for those a caller shows.
+    which settles them by roots; a member with a root inside the fixed
+    band ``hurwitz.AXIS_TOL`` of the axis is MARGINAL, so it counts as
+    unstable.  No other root is solved: the witnesses are stored as
+    coefficients, and :func:`witness_root` solves a root for those a
+    caller shows.
     """
     tested = 0
     bad = 0
     witnesses: list[tuple[float, ...]] = []
     for block in _member_blocks(box, plan):
         tested += len(block)
-        unstable = np.flatnonzero(~is_hurwitz_rows(block, axis_tol))
+        unstable = np.flatnonzero(~is_hurwitz_rows(block))
         bad += len(unstable)
         for i in unstable[: MAX_STORED_WITNESSES - len(witnesses)]:
             witnesses.append(tuple(block[i].tolist()))
@@ -216,12 +216,10 @@ class CrossValidation:
         return self.classification == "CONSISTENT"
 
 
-def cross_validate(
-    box: IntervalPolynomial, plan: SamplePlan, axis_tol: float = AXIS_TOL
-) -> CrossValidation:
+def cross_validate(box: IntervalPolynomial, plan: SamplePlan) -> CrossValidation:
     """Run both deciders and reconcile their answers."""
-    fam = kharitonov_test(box, axis_tol)
-    rep = oracle_verdict(box, plan, axis_tol)
+    fam = kharitonov_test(box)
+    rep = oracle_verdict(box, plan)
 
     if fam.is_stable:
         if rep.verdict == "UNSTABLE":
@@ -239,9 +237,7 @@ def cross_validate(
     w = fam.witness_poly
     if w is not None:
         inside = box.contains(w) or (-box).contains(w)
-        refuted = w.is_zero() or not is_hurwitz(
-            w, axis_tol, root_witness=False
-        ).is_stable
+        refuted = w.is_zero() or not is_hurwitz(w, root_witness=False).is_stable
         certified = inside and refuted
         note = (
             "failing corner polynomial re-verified as an unstable member"

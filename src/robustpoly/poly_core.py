@@ -167,7 +167,7 @@ def convex_combine(p: RealPolynomial, q: RealPolynomial, t: float) -> RealPolyno
     return RealPolynomial(linear_combination(1.0 - t, p.coeffs, t, q.coeffs))
 
 
-def format_poly(p: RealPolynomial, var: str = "z") -> str:
+def format_poly(p: RealPolynomial) -> str:
     """Human-readable rendering, ascending powers, e.g. ``10 + 46 z + 40 z^2``."""
     parts: list[str] = []
     for i, c in enumerate(p.coeffs):
@@ -177,7 +177,7 @@ def format_poly(p: RealPolynomial, var: str = "z") -> str:
         if i == 0:
             term = mag
         else:
-            power = var if i == 1 else f"{var}^{i}"
+            power = "z" if i == 1 else f"z^{i}"
             term = power if mag == "1" else f"{mag} {power}"
         if not parts:
             parts.append(term if c >= 0 else f"-{term}")

@@ -112,7 +112,7 @@ def _residual_floor(coeffs: np.ndarray, x: np.ndarray) -> np.ndarray:
     return 8.0 * np.finfo(float).eps * (len(coeffs) + 1) * s
 
 
-def all_roots(p: RealPolynomial, max_iter: int = MAX_ITER) -> RootSet:
+def all_roots(p: RealPolynomial) -> RootSet:
     """All complex roots of ``p`` counted with multiplicity.
 
     Constants give an empty set.  Raises :class:`ZeroPolynomial` for the
@@ -133,7 +133,7 @@ def all_roots(p: RealPolynomial, max_iter: int = MAX_ITER) -> RootSet:
     x = radius * np.exp(1j * ang)
 
     done = np.zeros(deg, dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         pv, dpv = _horner_many(coeffs, x)
         noise = _residual_floor(coeffs, x)
         done |= np.abs(pv) <= noise
@@ -154,7 +154,7 @@ def all_roots(p: RealPolynomial, max_iter: int = MAX_ITER) -> RootSet:
             break
     else:
         raise NonConvergence(
-            f"no convergence after {max_iter} iterations", [complex(v) for v in x]
+            f"no convergence after {MAX_ITER} iterations", [complex(v) for v in x]
         )
 
     # final residual audit against the looser reporting tolerance

@@ -93,6 +93,14 @@ class TestCheck:
         assert main(["check", str(tmp_path / "missing.json")]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "pair", [[-int("9" * 400), 2], [1, int("9" * 400)]], ids=["lo", "hi"]
+    )
+    def test_bound_beyond_float_range_exit_two(self, tmp_path, capsys, pair):
+        prob = write_problem(tmp_path, "big.json", 1, [[1, 2], pair])
+        assert main(["check", str(prob)]) == 2
+        assert "intervals[1] has a bound beyond the float range" in capsys.readouterr().err
+
     def test_zero_leading_pair_rejected(self, tmp_path, capsys):
         bad = write_problem(tmp_path, "z.json", 1, [[1, 2], [0, 0]])
         assert main(["check", str(bad)]) == 2
@@ -213,6 +221,15 @@ class TestRoots:
         assert main(["roots", str(demo_problem_path), "--svg", str(out_svg)]) == 0
         root = ET.fromstring(out_svg.read_text())
         assert root.tag.endswith("svg")
+
+
+@pytest.mark.parametrize("command", ["check", "kpolys", "rect", "roots", "homotopy"])
+def test_seed_only_on_oracle(demo_problem_path, capsys, command):
+    args = ["--family", "faedo-loop"] if command == "homotopy" else [str(demo_problem_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 class TestOracle:

@@ -102,7 +102,8 @@ class TestIsHurwitz:
         rng = np.random.default_rng(77)
         for _ in range(1000):
             p = random_poly(rng, max_degree=7)
-            is_hurwitz(p, cross_check=True)
+            by_array = is_hurwitz(p, root_witness=False)
+            assert by_array.is_stable == hurwitz_mod._roots_verdict(p).is_stable, p
 
     def test_witness_root_flag_off(self):
         v = is_hurwitz(RealPolynomial((1.0, -1.0, 1.0)), root_witness=False)
@@ -118,22 +119,23 @@ class TestIsHurwitz:
         assert abs(v.witness_root.real) < 1e-9
         assert abs(abs(v.witness_root.imag) - 1.0) < 1e-6
 
-    def test_axis_band_decides_fallback(self):
+    def test_axis_band_decides_fallback(self, monkeypatch):
         # (z^2 + 2ez + 1)(z + 1) with e = 1e-13: the array is numerically
         # singular, and the near-axis pair at -1e-13 +- i falls inside or
-        # outside the band depending on axis_tol
+        # outside the band depending on AXIS_TOL
         e = 1e-13
         p = RealPolynomial((1.0, 1.0 + e * 2, 1.0 + e * 2, 1.0))
-        assert is_hurwitz(p, axis_tol=1e-9).status is Status.MARGINAL
-        assert is_hurwitz(p, axis_tol=1e-16).status is Status.STABLE
+        assert hurwitz_mod.AXIS_TOL == 1e-9
+        assert is_hurwitz(p).status is Status.MARGINAL
+        monkeypatch.setattr(hurwitz_mod, "AXIS_TOL", 1e-16)
+        assert is_hurwitz(p).status is Status.STABLE
 
     @pytest.mark.parametrize(
         "coeffs",
         [(1.0, 1.0, 1.0, 1.0), (1.0, -1.0, 1.0), (6.0, 11.0, 6.0, 1.0)],
         ids=["singular", "unstable", "stable"],
     )
-    @pytest.mark.parametrize("cross_check", [False, True])
-    def test_roots_solved_at_most_once(self, monkeypatch, coeffs, cross_check):
+    def test_roots_solved_at_most_once(self, monkeypatch, coeffs):
         calls = []
 
         def counting(p):
@@ -141,7 +143,7 @@ class TestIsHurwitz:
             return all_roots(p)
 
         monkeypatch.setattr(hurwitz_mod, "all_roots", counting)
-        is_hurwitz(RealPolynomial(coeffs), cross_check=cross_check)
+        is_hurwitz(RealPolynomial(coeffs))
         assert len(calls) <= 1
 
     def test_roots_contradicting_the_array_raise(self, monkeypatch):

@@ -147,7 +147,7 @@ class TestCrossValidate:
         # force the family test to lie so the reporting path is exercised
         box = IntervalPolynomial((-1.0, 1.0), (-1.0, 1.0))  # z - 1, unstable
         fake = FamilyVerdict(Status.STABLE, "routh", note="injected")
-        monkeypatch.setattr(oracle_mod, "kharitonov_test", lambda b, tol: fake)
+        monkeypatch.setattr(oracle_mod, "kharitonov_test", lambda b: fake)
         cv = oracle_mod.cross_validate(box, SamplePlan.vertices())
         assert cv.classification == "CONTRADICTION"
         assert not cv.consistent

@@ -24,7 +24,7 @@ from robustpoly import (
     random_box,
 )
 import robustpoly.hurwitz as hurwitz_mod
-from robustpoly.hurwitz import AXIS_TOL, is_hurwitz_rows
+from robustpoly.hurwitz import is_hurwitz_rows
 from robustpoly.oracle import BLOCK_ROWS, MAX_STORED_WITNESSES, OracleReport, witness_root
 
 
@@ -50,7 +50,7 @@ def reference_members(box, plan):
             yield RealPolynomial(picks)
 
 
-def reference_verdict(box, plan, axis_tol=AXIS_TOL):
+def reference_verdict(box, plan):
     tested = 0
     bad = 0
     witnesses = []
@@ -61,7 +61,7 @@ def reference_verdict(box, plan, axis_tol=AXIS_TOL):
             if len(witnesses) < MAX_STORED_WITNESSES:
                 witnesses.append(p.coeffs)
             continue
-        v = is_hurwitz(p, axis_tol, root_witness=False)
+        v = is_hurwitz(p, root_witness=False)
         if not v.is_stable:
             bad += 1
             if len(witnesses) < MAX_STORED_WITNESSES:
